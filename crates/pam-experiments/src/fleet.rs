@@ -28,8 +28,7 @@ use pam_traffic::{
     ArrivalProcess, FlowGeneratorConfig, PacketSizeProfile, Phase, TraceConfig, TrafficSchedule,
 };
 use pam_types::{Gbps, PamError, Result, SimDuration, SimTime};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// The default seed of the fleet benchmarks (kept stable: CI compares
 /// reports against a committed baseline).
@@ -86,7 +85,7 @@ impl std::fmt::Display for FleetScenarioKind {
 /// ablation overrides exactly the dimensions it moves. New dimensions are
 /// added here (one field, one builder) instead of as parallel `with_*`
 /// setters on [`FleetScenario`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetTuning {
     /// How every server transfers state during live migration.
     pub migration_mode: MigrationMode,
@@ -151,7 +150,7 @@ impl FleetTuning {
 }
 
 /// One concrete, fully seeded fleet scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetScenario {
     /// The traffic shape.
     pub kind: FleetScenarioKind,
@@ -189,42 +188,6 @@ impl FleetScenario {
     /// builder path for every ablation dimension.
     pub fn with_tuning(mut self, tuning: FleetTuning) -> Self {
         self.tuning = tuning;
-        self
-    }
-
-    /// The same scenario running the given live-migration transfer mode.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_mode(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_mode(mut self, mode: MigrationMode) -> Self {
-        self.tuning = self.tuning.with_mode(mode);
-        self
-    }
-
-    /// The same scenario with every server's datapath batching up to `batch`
-    /// packets per doorbell (1 restores the unbatched baseline).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_batch(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_batch(mut self, batch: u32) -> Self {
-        self.tuning = self.tuning.with_batch(batch);
-        self
-    }
-
-    /// The same scenario running every link — per-server PCIe and the
-    /// inter-server interconnect — under the given throughput model
-    /// ([`LinkModel::FifoFixed`] restores the committed-baseline behaviour).
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `with_tuning(FleetTuning::default().with_link_model(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
-        self.tuning = self.tuning.with_link_model(link_model);
         self
     }
 
@@ -412,83 +375,6 @@ impl FleetScenario {
         fleet.run(self.horizon());
         let rounds = collect_round_stats(&fleet);
         Ok((fleet.report(), rounds))
-    }
-}
-
-// Hand-serialised with the historical *flat* key layout: the tuning
-// dimensions appear as top-level `migration_mode` / `batch` / `link_model` /
-// `estimator` / `flows` keys, and every missing key deserialises to the
-// committed-baseline default — so scenarios written before a dimension
-// existed keep parsing (the vendored serde derive has no
-// `#[serde(default)]`).
-impl Serialize for FleetScenario {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("kind".to_owned(), self.kind.to_value());
-        map.insert("servers".to_owned(), self.servers.to_value());
-        map.insert("baseline".to_owned(), self.baseline.to_value());
-        map.insert("peak".to_owned(), self.peak.to_value());
-        map.insert(
-            "migration_mode".to_owned(),
-            self.tuning.migration_mode.to_value(),
-        );
-        map.insert("batch".to_owned(), self.tuning.batch.to_value());
-        map.insert("link_model".to_owned(), self.tuning.link_model.to_value());
-        map.insert("estimator".to_owned(), self.tuning.estimator.to_value());
-        map.insert("flows".to_owned(), self.tuning.flows.to_value());
-        map.insert("seed".to_owned(), self.seed.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for FleetScenario {
-    fn from_value(value: &Value) -> std::result::Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("FleetScenario must be an object")),
-        };
-        let kind = FleetScenarioKind::from_value(
-            map.get("kind")
-                .ok_or_else(|| Error::custom("missing field `kind`"))?,
-        )?;
-        let servers = usize::from_value(
-            map.get("servers")
-                .ok_or_else(|| Error::custom("missing field `servers`"))?,
-        )?;
-        let defaults = FleetScenario::new(kind, servers);
-        let mut tuning = defaults.tuning;
-        if let Some(value) = map.get("migration_mode") {
-            tuning.migration_mode = MigrationMode::from_value(value)?;
-        }
-        if let Some(value) = map.get("batch") {
-            tuning.batch = u32::from_value(value)?;
-        }
-        if let Some(value) = map.get("link_model") {
-            tuning.link_model = LinkModel::from_value(value)?;
-        }
-        if let Some(value) = map.get("estimator") {
-            tuning.estimator = EstimatorKind::from_value(value)?;
-        }
-        if let Some(value) = map.get("flows") {
-            tuning.flows = usize::from_value(value)?;
-        }
-        Ok(FleetScenario {
-            kind,
-            servers,
-            baseline: match map.get("baseline") {
-                Some(value) => Gbps::from_value(value)?,
-                None => defaults.baseline,
-            },
-            peak: match map.get("peak") {
-                Some(value) => Gbps::from_value(value)?,
-                None => defaults.peak,
-            },
-            tuning,
-            seed: match map.get("seed") {
-                Some(value) => u64::from_value(value)?,
-                None => defaults.seed,
-            },
-        })
     }
 }
 
@@ -949,7 +835,7 @@ pub fn run_fleet_matrix_opts(
     let total_events = timings.iter().map(|t| t.events).sum();
     Ok((
         FleetBenchOutput {
-            version: 3,
+            version: 4,
             servers,
             seed: DEFAULT_FLEET_SEED,
             results: entries,
@@ -1309,7 +1195,7 @@ mod tests {
 
     /// The estimator tentpole's fidelity criterion: `estimator = exact` is
     /// not a new mode — it must reproduce the default-constructed scenario
-    /// (and therefore the committed v3 baseline) byte-identically.
+    /// (and therefore the committed baseline) byte-identically.
     #[test]
     fn exact_estimator_is_byte_identical_to_the_default() {
         let kind = FleetScenarioKind::FlashCrowd;
@@ -1353,11 +1239,11 @@ mod tests {
         }
     }
 
-    /// Scenario serde keeps the historical flat key layout: pre-redesign
-    /// JSON (no `estimator`/`flows` keys) parses to the baseline tuning, and
-    /// a round trip preserves every dimension.
+    /// Scenario serde nests the tuning and round-trips every dimension; a
+    /// pre-redesign scenario (flat tuning keys, no estimator/flows) is
+    /// refused instead of silently falling back to baseline knobs.
     #[test]
-    fn scenario_serde_defaults_missing_tuning_keys() {
+    fn scenario_serde_refuses_flat_legacy_keys() {
         let scenario = FleetScenario::new(FleetScenarioKind::FlashCrowd, 4).with_tuning(
             FleetTuning::default()
                 .with_mode(MigrationMode::PreCopy)
@@ -1367,34 +1253,9 @@ mod tests {
         let json = serde_json::to_string(&scenario).unwrap();
         let back: FleetScenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, scenario);
-        // A pre-redesign scenario: flat keys, no estimator/flows.
         let legacy = r#"{"kind":"FlashCrowd","servers":2,"migration_mode":"PreCopy","batch":8}"#;
-        let parsed: FleetScenario = serde_json::from_str(legacy).unwrap();
-        assert_eq!(parsed.tuning.migration_mode, MigrationMode::PreCopy);
-        assert_eq!(parsed.tuning.batch, 8);
-        assert_eq!(parsed.tuning.estimator, EstimatorKind::Exact);
-        assert_eq!(parsed.tuning.flows, 2000);
-        assert_eq!(parsed.seed, DEFAULT_FLEET_SEED);
-        assert_eq!(parsed.baseline, FleetScenario::new(parsed.kind, 2).baseline);
-    }
-
-    /// Pins the one-release deprecated shims: the old per-dimension setters
-    /// must be exactly the tuning path.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scenario_setters_are_thin_tuning_shims() {
-        let kind = FleetScenarioKind::RollingHotspot;
-        let shimmed = FleetScenario::new(kind, 2)
-            .with_mode(MigrationMode::PreCopy)
-            .with_batch(8)
-            .with_link_model(LinkModel::fair_share());
-        let tuned = FleetScenario::new(kind, 2).with_tuning(
-            FleetTuning::default()
-                .with_mode(MigrationMode::PreCopy)
-                .with_batch(8)
-                .with_link_model(LinkModel::fair_share()),
-        );
-        assert_eq!(shimmed, tuned);
+        let err = serde_json::from_str::<FleetScenario>(legacy).unwrap_err();
+        assert!(err.to_string().contains("`migration_mode`"), "{err}");
     }
 
     /// Batching must not change *what* is delivered on a drop-free scenario,

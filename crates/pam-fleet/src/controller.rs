@@ -30,8 +30,7 @@ use pam_protocol::{
 use pam_runtime::state_transfer_size;
 use pam_sim::{EventQueue, FaultKind, FaultPlan, LinkDirection, PcieLink, PcieLinkConfig};
 use pam_types::{ByteSize, Device, Gbps, PamError, Result, ServerId, SimDuration, SimTime};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::estimator::{EstimatorConfig, LoadEstimator};
 use crate::health::{NodeHealth, DEFAULT_WARMUP};
@@ -41,7 +40,7 @@ use crate::steering::SteeringTable;
 
 /// Fleet-level control parameters (the per-server loop keeps its own
 /// [`OrchestratorConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Per-server control loop (strategy, poll cadence, cooldown).
     pub orchestrator: OrchestratorConfig,
@@ -96,85 +95,6 @@ impl FleetConfig {
     pub fn with_estimator(mut self, estimator: EstimatorConfig) -> Self {
         self.estimator = estimator;
         self
-    }
-}
-
-// Hand-serialised so configs written before the estimator knob existed (and
-// the committed baselines) deserialise with the exact estimator instead of
-// failing on a missing field (the vendored serde derive has no
-// `#[serde(default)]`). The pre-redesign flat `estimator_window` key is
-// still honoured as a legacy alias for `estimator.window`.
-impl Serialize for FleetConfig {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("orchestrator".to_owned(), self.orchestrator.to_value());
-        map.insert("estimator".to_owned(), self.estimator.to_value());
-        map.insert(
-            "scale_out_enabled".to_owned(),
-            self.scale_out_enabled.to_value(),
-        );
-        map.insert("spill_step".to_owned(), self.spill_step.to_value());
-        map.insert("max_spill".to_owned(), self.max_spill.to_value());
-        map.insert(
-            "recipient_headroom".to_owned(),
-            self.recipient_headroom.to_value(),
-        );
-        map.insert("scale_in_below".to_owned(), self.scale_in_below.to_value());
-        map.insert("scale_cooldown".to_owned(), self.scale_cooldown.to_value());
-        map.insert("interconnect".to_owned(), self.interconnect.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for FleetConfig {
-    fn from_value(value: &Value) -> std::result::Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("FleetConfig must be an object")),
-        };
-        let defaults = FleetConfig::default();
-        let mut estimator = match map.get("estimator") {
-            Some(value) => EstimatorConfig::from_value(value)?,
-            None => defaults.estimator,
-        };
-        if let Some(value) = map.get("estimator_window") {
-            estimator.window = SimDuration::from_value(value)?;
-        }
-        Ok(FleetConfig {
-            orchestrator: match map.get("orchestrator") {
-                Some(value) => OrchestratorConfig::from_value(value)?,
-                None => defaults.orchestrator,
-            },
-            estimator,
-            scale_out_enabled: match map.get("scale_out_enabled") {
-                Some(value) => bool::from_value(value)?,
-                None => defaults.scale_out_enabled,
-            },
-            spill_step: match map.get("spill_step") {
-                Some(value) => f64::from_value(value)?,
-                None => defaults.spill_step,
-            },
-            max_spill: match map.get("max_spill") {
-                Some(value) => f64::from_value(value)?,
-                None => defaults.max_spill,
-            },
-            recipient_headroom: match map.get("recipient_headroom") {
-                Some(value) => f64::from_value(value)?,
-                None => defaults.recipient_headroom,
-            },
-            scale_in_below: match map.get("scale_in_below") {
-                Some(value) => f64::from_value(value)?,
-                None => defaults.scale_in_below,
-            },
-            scale_cooldown: match map.get("scale_cooldown") {
-                Some(value) => SimDuration::from_value(value)?,
-                None => defaults.scale_cooldown,
-            },
-            interconnect: match map.get("interconnect") {
-                Some(value) => PcieLinkConfig::from_value(value)?,
-                None => defaults.interconnect,
-            },
-        })
     }
 }
 
@@ -361,7 +281,7 @@ impl Fleet {
     }
 
     /// Installs a fault schedule. Must be called before the first
-    /// [`Fleet::run`]/[`crate::shard::run_sharded`] window (the fault events
+    /// [`Fleet::run`]/[`Fleet::run_sharded`] window (the fault events
     /// are scheduled once, when the queue starts) and the plan must validate
     /// against this fleet's server count.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) -> Result<()> {
@@ -1137,6 +1057,18 @@ mod tests {
         let mut fleet = hopeless_fleet(StrategyKind::Pam);
         // Out-of-range server index is rejected.
         assert!(fleet.set_fault_plan(crash_recover_plan(7, 1, 2)).is_err());
+        // A deserialised plan is not re-sorted: server 1's faults listed
+        // after server 0's later ones are refused, not silently reordered.
+        let mut events = crash_recover_plan(0, 5, 15).events().to_vec();
+        events.extend_from_slice(crash_recover_plan(1, 1, 2).events());
+        let json = format!(
+            r#"{{"events":{}}}"#,
+            serde_json::to_string(&events).unwrap()
+        );
+        let out_of_order: FaultPlan = serde_json::from_str(&json).unwrap();
+        assert!(fleet.set_fault_plan(out_of_order).is_err());
+        let sorted = FaultPlan::new(events);
+        assert!(fleet.set_fault_plan(sorted).is_ok());
         assert!(fleet.set_fault_plan(crash_recover_plan(0, 5, 15)).is_ok());
         fleet.run(SimTime::from_millis(1));
         // Too late: the queue already started.

@@ -34,8 +34,7 @@ use std::collections::VecDeque;
 
 use pam_nf::fastmap::FlowMap;
 use pam_types::{Gbps, SimDuration, SimTime};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::sketch::SlidingSketch;
 
@@ -147,7 +146,7 @@ impl SlidingWindowEstimator {
 }
 
 /// Which load-estimator implementation a fleet runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum EstimatorKind {
     /// Exact per-flow windowed accounting (the committed-baseline default).
     #[default]
@@ -180,26 +179,8 @@ impl std::fmt::Display for EstimatorKind {
     }
 }
 
-// Hand-serialised as a plain string so configs stay greppable and the
-// vendored serde derive (which has no `#[serde(default)]`) is not needed.
-impl Serialize for EstimatorKind {
-    fn to_value(&self) -> Value {
-        Value::String(self.name().to_owned())
-    }
-}
-
-impl Deserialize for EstimatorKind {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(name) => EstimatorKind::from_name(name)
-                .ok_or_else(|| Error::custom(format!("unknown estimator kind `{name}`"))),
-            _ => Err(Error::custom("EstimatorKind must be a string")),
-        }
-    }
-}
-
 /// Configuration of a fleet's [`LoadEstimator`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EstimatorConfig {
     /// Which implementation to run.
     pub kind: EstimatorKind,
@@ -239,54 +220,6 @@ impl EstimatorConfig {
     pub fn with_window(mut self, window: SimDuration) -> Self {
         self.window = window;
         self
-    }
-}
-
-// Every key is optional on the way in — a config written before the
-// estimator knob existed (or one naming only `kind`) deserialises with the
-// committed-baseline defaults, following the `link_model` pattern (the
-// vendored serde derive has no `#[serde(default)]`).
-impl Serialize for EstimatorConfig {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("kind".to_owned(), self.kind.to_value());
-        map.insert("window".to_owned(), self.window.to_value());
-        map.insert("depth".to_owned(), self.depth.to_value());
-        map.insert("width".to_owned(), self.width.to_value());
-        map.insert("top_k".to_owned(), self.top_k.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for EstimatorConfig {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("EstimatorConfig must be an object")),
-        };
-        let defaults = EstimatorConfig::default();
-        Ok(EstimatorConfig {
-            kind: match map.get("kind") {
-                Some(value) => EstimatorKind::from_value(value)?,
-                None => defaults.kind,
-            },
-            window: match map.get("window") {
-                Some(value) => SimDuration::from_value(value)?,
-                None => defaults.window,
-            },
-            depth: match map.get("depth") {
-                Some(value) => usize::from_value(value)?,
-                None => defaults.depth,
-            },
-            width: match map.get("width") {
-                Some(value) => usize::from_value(value)?,
-                None => defaults.width,
-            },
-            top_k: match map.get("top_k") {
-                Some(value) => usize::from_value(value)?,
-                None => defaults.top_k,
-            },
-        })
     }
 }
 
@@ -738,21 +671,19 @@ mod tests {
     }
 
     #[test]
-    fn estimator_config_serde_defaults_missing_keys() {
+    fn estimator_config_serde_refuses_partial_configs() {
+        use serde::value::{Map, Value};
         use serde::{Deserialize, Serialize};
         let config = EstimatorConfig::of(EstimatorKind::Sketch);
         let back = EstimatorConfig::from_value(&config.to_value()).unwrap();
         assert_eq!(back, config);
-        // An empty object (a config written before the knob existed) and a
-        // kind-only object both deserialise with baseline defaults.
-        let empty = EstimatorConfig::from_value(&Value::Object(Map::new())).unwrap();
-        assert_eq!(empty, EstimatorConfig::default());
-        assert_eq!(empty.kind, EstimatorKind::Exact);
+        // Partial configs are refused, naming the first missing key.
+        let err = EstimatorConfig::from_value(&Value::Object(Map::new())).unwrap_err();
+        assert!(err.to_string().contains("`kind`"), "{err}");
         let mut kind_only = Map::new();
-        kind_only.insert("kind".to_owned(), Value::String("sketch".to_owned()));
-        let parsed = EstimatorConfig::from_value(&Value::Object(kind_only)).unwrap();
-        assert_eq!(parsed.kind, EstimatorKind::Sketch);
-        assert_eq!(parsed.width, EstimatorConfig::default().width);
+        kind_only.insert("kind", EstimatorKind::Sketch.to_value());
+        let err = EstimatorConfig::from_value(&Value::Object(kind_only)).unwrap_err();
+        assert!(err.to_string().contains("`window`"), "{err}");
         assert!(EstimatorConfig::from_value(&Value::Null).is_err());
         assert!(EstimatorKind::from_value(&Value::String("nope".into())).is_err());
     }

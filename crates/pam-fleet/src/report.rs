@@ -3,36 +3,13 @@
 //! Everything here holds only scalars and `Vec`s (never maps), so
 //! `serde_json::to_string` of the same run is byte-identical across replays
 //! — the property both the determinism tests and the CI perf gate rely on.
-//!
-//! `Serialize` is derived (fields are emitted in declaration order; new
-//! fields are appended at the end), but `Deserialize` for [`ServerReport`]
-//! and [`FleetTotals`] is hand-written: the vendored serde derive has no
-//! `#[serde(default)]`, and the CI perf gate must keep parsing baselines
-//! committed before the fault-injection fields existed. Fields added since
-//! default to zero when absent.
+//! Fields are emitted in declaration order; new fields are appended at the
+//! end.
 
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
-
-/// Extracts a required field, failing with the field name when absent.
-fn required<T: Deserialize>(map: &Map, key: &str) -> Result<T, Error> {
-    match map.get(key) {
-        Some(value) => T::from_value(value),
-        None => Err(Error::custom(format!("missing field `{key}`"))),
-    }
-}
-
-/// Extracts a field added after the first committed baselines, defaulting
-/// when absent so old reports keep parsing.
-fn defaulted<T: Deserialize + Default>(map: &Map, key: &str) -> Result<T, Error> {
-    match map.get(key) {
-        Some(value) => T::from_value(value),
-        None => Ok(T::default()),
-    }
-}
+use serde::{Deserialize, Serialize};
 
 /// Per-server outcome of a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ServerReport {
     /// The server's fleet index.
     pub server: u64,
@@ -69,35 +46,8 @@ pub struct ServerReport {
     pub recoveries: u64,
 }
 
-impl Deserialize for ServerReport {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("ServerReport must be an object")),
-        };
-        Ok(ServerReport {
-            server: required(map, "server")?,
-            injected: required(map, "injected")?,
-            delivered: required(map, "delivered")?,
-            drops_overload: required(map, "drops_overload")?,
-            drops_policy: required(map, "drops_policy")?,
-            drops_migration: required(map, "drops_migration")?,
-            p50_us: required(map, "p50_us")?,
-            p99_us: required(map, "p99_us")?,
-            mean_us: required(map, "mean_us")?,
-            throughput_gbps: required(map, "throughput_gbps")?,
-            migrations: required(map, "migrations")?,
-            blackout_us: required(map, "blackout_us")?,
-            spill_fraction: required(map, "spill_fraction")?,
-            aborted_migrations: defaulted(map, "aborted_migrations")?,
-            crashes: defaulted(map, "crashes")?,
-            recoveries: defaulted(map, "recoveries")?,
-        })
-    }
-}
-
 /// Fleet-wide aggregates (latency quantiles merged across all servers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetTotals {
     /// Packets injected fleet-wide.
     pub injected: u64,
@@ -146,39 +96,6 @@ pub struct FleetTotals {
     pub fault_drops: u64,
 }
 
-impl Deserialize for FleetTotals {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("FleetTotals must be an object")),
-        };
-        Ok(FleetTotals {
-            injected: required(map, "injected")?,
-            delivered: required(map, "delivered")?,
-            drops_overload: required(map, "drops_overload")?,
-            drops_policy: required(map, "drops_policy")?,
-            drops_migration: required(map, "drops_migration")?,
-            p50_us: required(map, "p50_us")?,
-            p99_us: required(map, "p99_us")?,
-            mean_us: required(map, "mean_us")?,
-            migrations: required(map, "migrations")?,
-            scale_outs: required(map, "scale_outs")?,
-            scale_ins: required(map, "scale_ins")?,
-            scale_out_blocked: required(map, "scale_out_blocked")?,
-            blackout_us: required(map, "blackout_us")?,
-            resteered_packets: required(map, "resteered_packets")?,
-            control_steps: required(map, "control_steps")?,
-            handoff_flows: required(map, "handoff_flows")?,
-            handoff_bytes: required(map, "handoff_bytes")?,
-            handoff_us: required(map, "handoff_us")?,
-            aborted_migrations: defaulted(map, "aborted_migrations")?,
-            server_crashes: defaulted(map, "server_crashes")?,
-            server_recoveries: defaulted(map, "server_recoveries")?,
-            fault_drops: defaulted(map, "fault_drops")?,
-        })
-    }
-}
-
 /// The full report of one fleet run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetReport {
@@ -201,6 +118,8 @@ impl FleetReport {
 
 #[cfg(test)]
 mod tests {
+    use serde::value::{Map, Value};
+
     use super::*;
 
     fn sample_server() -> ServerReport {
@@ -268,35 +187,16 @@ mod tests {
     }
 
     #[test]
-    fn pre_fault_reports_parse_with_zero_fault_counters() {
-        // A report serialised before the fault-injection fields existed
-        // (the committed CI baseline) must keep deserialising, with the new
-        // counters defaulting to zero.
-        let server = without(
-            &sample_server().to_value(),
-            &["aborted_migrations", "crashes", "recoveries"],
-        );
-        let parsed = ServerReport::from_value(&server).unwrap();
-        assert_eq!(parsed.aborted_migrations, 0);
-        assert_eq!(parsed.crashes, 0);
-        assert_eq!(parsed.recoveries, 0);
+    fn pre_fault_reports_are_refused() {
+        // A report without the fault-injection counters is refused; the
+        // error names the missing counter instead of reading it as zero.
+        let server = without(&sample_server().to_value(), &["crashes"]);
+        let err = ServerReport::from_value(&server).unwrap_err().to_string();
+        assert!(err.contains("`crashes`"), "{err}");
 
-        let totals = without(
-            &FleetTotals::default().to_value(),
-            &[
-                "aborted_migrations",
-                "server_crashes",
-                "server_recoveries",
-                "fault_drops",
-            ],
-        );
-        let parsed = FleetTotals::from_value(&totals).unwrap();
-        assert_eq!(parsed.server_crashes, 0);
-        assert_eq!(parsed.fault_drops, 0);
-
-        // A *missing* pre-existing field is still an error.
-        let broken = without(&server, &["injected"]);
-        assert!(ServerReport::from_value(&broken).is_err());
+        let totals = without(&FleetTotals::default().to_value(), &["fault_drops"]);
+        let err = FleetTotals::from_value(&totals).unwrap_err().to_string();
+        assert!(err.contains("`fault_drops`"), "{err}");
     }
 
     #[test]

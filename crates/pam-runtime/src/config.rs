@@ -3,8 +3,7 @@
 use pam_nf::ProfileCatalog;
 use pam_sim::{DeviceConfig, LinkModel, PcieLinkConfig};
 use pam_types::{ByteSize, SimDuration};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::migration::{DivergencePolicy, MigrationConfig, MigrationMode};
 
@@ -138,17 +137,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Selects the PCIe link throughput model (FIFO-fixed baseline or
-    /// contention-aware fair sharing), keeping the other link knobs.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `tuned(RuntimeTuning::default().with_link_model(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_link_model(self, link_model: LinkModel) -> Self {
-        self.tuned(&RuntimeTuning::default().with_link_model(link_model))
-    }
-
     /// Overrides the live-migration engine configuration.
     pub fn with_migration(mut self, migration: MigrationConfig) -> Self {
         self.migration = migration;
@@ -160,18 +148,6 @@ impl RuntimeConfig {
     pub fn with_migration_mode(mut self, mode: MigrationMode) -> Self {
         self.migration.mode = mode;
         self
-    }
-
-    /// Selects what pre-copy does at the round cap without convergence
-    /// (force the freeze, or roll the migration back), keeping the other
-    /// engine knobs at their current values.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `tuned(RuntimeTuning::default().with_divergence(..))` — \
-                one builder path for every experiment dimension"
-    )]
-    pub fn with_divergence_policy(self, policy: DivergencePolicy) -> Self {
-        self.tuned(&RuntimeTuning::default().with_divergence(policy))
     }
 
     /// Overrides the datapath batching knobs.
@@ -215,12 +191,9 @@ impl RuntimeConfig {
 /// The experiment dimensions of a [`RuntimeConfig`], bundled.
 ///
 /// Every field is optional: `None` keeps the committed-baseline knob, `Some`
-/// overrides it — so a tuning serialises to exactly the dimensions it moves
-/// and an empty object is the baseline. This is the consolidation target for
-/// the historical one-setter-per-dimension sprawl (`with_link_model`,
-/// `with_divergence_policy`, ...): ablations build one `RuntimeTuning` and
-/// apply it with [`RuntimeConfig::tuned`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+/// overrides it. Ablations build one `RuntimeTuning` and apply it with
+/// [`RuntimeConfig::tuned`] instead of one setter per dimension.
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RuntimeTuning {
     /// PCIe link throughput model (`None` = FIFO-fixed baseline).
     pub link_model: Option<LinkModel>,
@@ -255,56 +228,6 @@ impl RuntimeTuning {
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = Some(max_batch);
         self
-    }
-}
-
-// Hand-serialised: only the overridden dimensions appear as keys, and every
-// missing key deserialises to `None` (the baseline), so tunings written
-// before a dimension existed keep parsing (the vendored serde derive has no
-// `#[serde(default)]` and no `Option` support).
-impl Serialize for RuntimeTuning {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        if let Some(link_model) = &self.link_model {
-            map.insert("link_model".to_owned(), link_model.to_value());
-        }
-        if let Some(mode) = &self.migration_mode {
-            map.insert("migration_mode".to_owned(), mode.to_value());
-        }
-        if let Some(policy) = &self.divergence {
-            map.insert("divergence".to_owned(), policy.to_value());
-        }
-        if let Some(max_batch) = &self.max_batch {
-            map.insert("max_batch".to_owned(), max_batch.to_value());
-        }
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for RuntimeTuning {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("RuntimeTuning must be an object")),
-        };
-        Ok(RuntimeTuning {
-            link_model: match map.get("link_model") {
-                Some(value) => Some(LinkModel::from_value(value)?),
-                None => None,
-            },
-            migration_mode: match map.get("migration_mode") {
-                Some(value) => Some(MigrationMode::from_value(value)?),
-                None => None,
-            },
-            divergence: match map.get("divergence") {
-                Some(value) => Some(DivergencePolicy::from_value(value)?),
-                None => None,
-            },
-            max_batch: match map.get("max_batch") {
-                Some(value) => Some(usize::from_value(value)?),
-                None => None,
-            },
-        })
     }
 }
 
@@ -386,50 +309,26 @@ mod tests {
     }
 
     #[test]
-    fn tuning_serde_round_trips_and_defaults_missing_keys() {
+    fn tuning_serde_round_trips_and_refuses_missing_keys() {
+        use serde::value::{Map, Value};
         let tuning = RuntimeTuning::default()
             .with_link_model(LinkModel::fair_share())
             .with_max_batch(4);
         let value = tuning.to_value();
         assert_eq!(RuntimeTuning::from_value(&value).unwrap(), tuning);
-        // Unset dimensions serialise to no key at all...
-        if let Value::Object(map) = &value {
-            assert!(map.get("migration_mode").is_none());
-            assert!(map.get("divergence").is_none());
-        } else {
+        // Unset dimensions serialise as explicit nulls...
+        let Value::Object(map) = &value else {
             panic!("tuning serialises to an object");
-        }
-        // ...and an empty object is the all-baseline tuning.
-        let empty = RuntimeTuning::from_value(&Value::Object(Map::new())).unwrap();
-        assert_eq!(empty, RuntimeTuning::default());
+        };
+        assert_eq!(map.get("migration_mode"), Some(&Value::Null));
+        assert_eq!(map.get("divergence"), Some(&Value::Null));
+        // ...and an empty object is refused, naming the first missing key.
+        let err = RuntimeTuning::from_value(&Value::Object(Map::new())).unwrap_err();
+        assert!(err.to_string().contains("`link_model`"), "{err}");
         assert!(RuntimeTuning::from_value(&Value::Null).is_err());
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_are_thin_tuning_shims() {
-        // Pins the one-release compatibility shims: the old setters must
-        // produce exactly what the tuning path produces.
-        assert_eq!(
-            RuntimeConfig::evaluation_default()
-                .with_link_model(LinkModel::fair_share())
-                .pcie,
-            RuntimeConfig::evaluation_default()
-                .tuned(&RuntimeTuning::default().with_link_model(LinkModel::fair_share()))
-                .pcie
-        );
-        assert_eq!(
-            RuntimeConfig::evaluation_default()
-                .with_divergence_policy(DivergencePolicy::Abort)
-                .migration,
-            RuntimeConfig::evaluation_default()
-                .tuned(&RuntimeTuning::default().with_divergence(DivergencePolicy::Abort))
-                .migration
-        );
-    }
-
-    #[test]
-    #[allow(deprecated)]
     fn migration_builders_select_mode_and_knobs() {
         let config = RuntimeConfig::default();
         assert_eq!(config.migration.mode, MigrationMode::StopAndCopy);
@@ -449,7 +348,7 @@ mod tests {
         );
         let aborting = RuntimeConfig::default()
             .with_migration_mode(MigrationMode::PreCopy)
-            .with_divergence_policy(DivergencePolicy::Abort);
+            .tuned(&RuntimeTuning::default().with_divergence(DivergencePolicy::Abort));
         assert_eq!(aborting.migration.on_divergence, DivergencePolicy::Abort);
         assert_eq!(aborting.migration.mode, MigrationMode::PreCopy);
     }

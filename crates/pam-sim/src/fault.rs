@@ -19,17 +19,15 @@
 //! # Determinism
 //!
 //! Nothing here reads a clock or iterates a hash map: the plan is a sorted
-//! `Vec`, the generator draws from the workspace's seeded [`SimRng`], and
-//! serialisation is hand-written over scalar fields only.
+//! `Vec` and the generator draws from the workspace's seeded [`SimRng`].
 
 use pam_types::{ServerId, SimDuration, SimTime};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::rng::SimRng;
 
 /// One kind of injected fault, aimed at one server of a fleet.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum FaultKind {
     /// Fail-stop crash of the server's data plane: any staged migration
     /// target is discarded through the protocol's `TargetCrash` arc and the
@@ -79,7 +77,7 @@ impl FaultKind {
         }
     }
 
-    /// A short stable tag for serde and reports.
+    /// A short stable tag for reports.
     pub fn tag(&self) -> &'static str {
         match self {
             FaultKind::ServerCrash { .. } => "server_crash",
@@ -91,7 +89,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
     /// When the fault strikes.
     pub at: SimTime,
@@ -133,7 +131,7 @@ impl Default for FaultPlanConfig {
 }
 
 /// A time-sorted, validated schedule of faults.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
@@ -161,12 +159,19 @@ impl FaultPlan {
         self.events.len()
     }
 
-    /// Checks the plan against a fleet of `servers` servers: every target
-    /// index must exist, every duration must be positive, every swing factor
-    /// must be positive (full outages are flaps), and every crash must come
-    /// before its server's next recovery (crash/recover events per server
-    /// must alternate, starting with a crash).
+    /// Checks the plan against a fleet of `servers` servers: events must be
+    /// in time order (a deserialised plan skips [`FaultPlan::new`]'s sort),
+    /// every target index must exist, every duration must be positive, every
+    /// swing factor must be positive (full outages are flaps), and every
+    /// crash must come before its server's next recovery (crash/recover
+    /// events per server must alternate, starting with a crash).
     pub fn validate(&self, servers: usize) -> Result<(), String> {
+        if let Some(pair) = self.events.windows(2).find(|pair| pair[1].at < pair[0].at) {
+            return Err(format!(
+                "fault at {} is listed after a later fault at {}",
+                pair[1].at, pair[0].at
+            ));
+        }
         let mut down = vec![false; servers];
         for event in &self.events {
             let index = event.kind.server().index();
@@ -278,105 +283,10 @@ impl FaultPlan {
     }
 }
 
-// Hand-serialised (the vendored serde derive has no enum/default support):
-// each event is a flat object tagged by `kind`, with only the fields that
-// kind uses. Unknown keys are ignored so plans stay forward-extensible.
-impl Serialize for FaultEvent {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert("at".to_owned(), self.at.to_value());
-        map.insert("kind".to_owned(), Value::String(self.kind.tag().to_owned()));
-        map.insert("server".to_owned(), self.kind.server().to_value());
-        match self.kind {
-            FaultKind::ServerCrash { .. } | FaultKind::ServerRecover { .. } => {}
-            FaultKind::LinkFlap { down_for, .. } => {
-                map.insert("down_for".to_owned(), down_for.to_value());
-            }
-            FaultKind::CapacitySwing { factor, period, .. } => {
-                map.insert("factor".to_owned(), factor.to_value());
-                map.insert("period".to_owned(), period.to_value());
-            }
-        }
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for FaultEvent {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("fault event must be an object")),
-        };
-        let at = SimTime::from_value(
-            map.get("at")
-                .ok_or_else(|| Error::custom("fault event missing `at`"))?,
-        )?;
-        let server = ServerId::from_value(
-            map.get("server")
-                .ok_or_else(|| Error::custom("fault event missing `server`"))?,
-        )?;
-        let kind = match map.get("kind") {
-            Some(Value::String(tag)) => tag.as_str(),
-            _ => return Err(Error::custom("fault event missing string `kind`")),
-        };
-        let kind = match kind {
-            "server_crash" => FaultKind::ServerCrash { server },
-            "server_recover" => FaultKind::ServerRecover { server },
-            "link_flap" => FaultKind::LinkFlap {
-                server,
-                down_for: SimDuration::from_value(
-                    map.get("down_for")
-                        .ok_or_else(|| Error::custom("link_flap missing `down_for`"))?,
-                )?,
-            },
-            "capacity_swing" => FaultKind::CapacitySwing {
-                server,
-                factor: f64::from_value(
-                    map.get("factor")
-                        .ok_or_else(|| Error::custom("capacity_swing missing `factor`"))?,
-                )?,
-                period: SimDuration::from_value(
-                    map.get("period")
-                        .ok_or_else(|| Error::custom("capacity_swing missing `period`"))?,
-                )?,
-            },
-            other => return Err(Error::custom(format!("unknown fault kind `{other}`"))),
-        };
-        Ok(FaultEvent { at, kind })
-    }
-}
-
-impl Serialize for FaultPlan {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(
-            "events".to_owned(),
-            Value::Array(self.events.iter().map(Serialize::to_value).collect()),
-        );
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("fault plan must be an object")),
-        };
-        let events = match map.get("events") {
-            Some(Value::Array(items)) => items
-                .iter()
-                .map(FaultEvent::from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-            Some(_) => return Err(Error::custom("`events` must be an array")),
-            None => Vec::new(),
-        };
-        Ok(FaultPlan::new(events))
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use serde::value::{Map, Value};
+
     use super::*;
 
     fn crash(at_us: u64, server: usize) -> FaultEvent {
@@ -481,11 +391,23 @@ mod tests {
         let value = plan.to_value();
         let back = FaultPlan::from_value(&value).unwrap();
         assert_eq!(back, plan);
-        // An empty object is an empty plan (forward compatibility).
-        assert!(FaultPlan::from_value(&Value::Object(Map::new()))
-            .unwrap()
-            .is_empty());
+        // An empty object is refused, not read as an empty plan.
+        let err = FaultPlan::from_value(&Value::Object(Map::new())).unwrap_err();
+        assert!(err.to_string().contains("`events`"), "{err}");
         assert!(FaultPlan::from_value(&Value::Bool(true)).is_err());
+    }
+
+    #[test]
+    fn deserialised_plans_keep_their_order_and_validate_rejects_it() {
+        // The derived deserialiser bypasses `FaultPlan::new`'s sort, so an
+        // out-of-order plan parses as written and `validate` refuses it.
+        let mut map = Map::new();
+        let events = vec![recover(300, 0).to_value(), crash(100, 0).to_value()];
+        map.insert("events", Value::Array(events));
+        let plan = FaultPlan::from_value(&Value::Object(map)).unwrap();
+        assert_eq!(plan.events()[0].at, SimTime::from_micros(300));
+        let err = plan.validate(1).unwrap_err();
+        assert!(err.contains("after a later fault"), "{err}");
     }
 
     #[test]

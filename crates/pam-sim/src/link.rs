@@ -10,8 +10,7 @@
 //! each migration strategy caused.
 
 use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
-use serde::value::{Map, Value};
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 use crate::server::RateServer;
 use crate::sharing::SharedTransfer;
@@ -36,7 +35,7 @@ impl LinkDirection {
 /// Configuration of the PCIe link model. The same rate-server + fixed
 /// latency shape also models other point-to-point transports (the fleet
 /// layer instantiates one as its inter-server state-handoff link).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PcieLinkConfig {
     /// Fixed one-way crossing latency (DMA + descriptor ring + batching).
     pub crossing_latency: SimDuration,
@@ -85,48 +84,6 @@ impl PcieLinkConfig {
     pub fn with_link_model(mut self, link_model: LinkModel) -> Self {
         self.link_model = link_model;
         self
-    }
-}
-
-// `link_model` is hand-serialised so configs written before the knob existed
-// (and the committed baselines) deserialise as FIFO-fixed instead of failing
-// on a missing field (the vendored serde derive has no `#[serde(default)]`).
-impl Serialize for PcieLinkConfig {
-    fn to_value(&self) -> Value {
-        let mut map = Map::new();
-        map.insert(
-            "crossing_latency".to_owned(),
-            self.crossing_latency.to_value(),
-        );
-        map.insert("bandwidth".to_owned(), self.bandwidth.to_value());
-        map.insert("link_model".to_owned(), self.link_model.to_value());
-        Value::Object(map)
-    }
-}
-
-impl Deserialize for PcieLinkConfig {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let map = match value {
-            Value::Object(map) => map,
-            _ => return Err(Error::custom("PcieLinkConfig must be an object")),
-        };
-        let crossing_latency = SimDuration::from_value(
-            map.get("crossing_latency")
-                .ok_or_else(|| Error::custom("missing field `crossing_latency`"))?,
-        )?;
-        let bandwidth = Gbps::from_value(
-            map.get("bandwidth")
-                .ok_or_else(|| Error::custom("missing field `bandwidth`"))?,
-        )?;
-        let link_model = match map.get("link_model") {
-            Some(value) => LinkModel::from_value(value)?,
-            None => LinkModel::FifoFixed,
-        };
-        Ok(PcieLinkConfig {
-            crossing_latency,
-            bandwidth,
-            link_model,
-        })
     }
 }
 
@@ -907,18 +864,15 @@ mod tests {
     }
 
     #[test]
-    fn link_model_serde_defaults_to_fifo_for_old_configs() {
-        // Configs serialised before the knob existed have no `link_model`
-        // key; they must deserialise to the FIFO-fixed baseline.
+    fn link_model_serde_refuses_configs_without_the_knob() {
+        use serde::value::{Map, Value};
+        // A config without the `link_model` key is refused, not read as
+        // FIFO-fixed.
         let mut map = Map::new();
-        map.insert(
-            "crossing_latency".to_owned(),
-            SimDuration::from_micros(22).to_value(),
-        );
-        map.insert("bandwidth".to_owned(), Gbps::new(63.0).to_value());
-        let config = PcieLinkConfig::from_value(&Value::Object(map)).unwrap();
-        assert_eq!(config, PcieLinkConfig::default());
-        assert_eq!(config.link_model, LinkModel::FifoFixed);
+        map.insert("crossing_latency", SimDuration::from_micros(22).to_value());
+        map.insert("bandwidth", Gbps::new(63.0).to_value());
+        let err = PcieLinkConfig::from_value(&Value::Object(map)).unwrap_err();
+        assert!(err.to_string().contains("`link_model`"), "{err}");
 
         // And the new field round-trips in both variants.
         for model in [

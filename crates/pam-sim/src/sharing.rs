@@ -29,8 +29,7 @@
 //! least one new arrival and the re-planning loop terminates.
 
 use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
-use serde::value::Value;
-use serde::{Deserialize, Error, Serialize};
+use serde::{Deserialize, Serialize};
 
 /// How the aggregate capacity of a shared link degrades with the number of
 /// concurrent activities.
@@ -39,7 +38,7 @@ use serde::{Deserialize, Error, Serialize};
 /// activities share the link; each activity then receives an equal
 /// `bandwidth * total_factor(n) / n` slice. `total_factor(1)` is always
 /// `1.0`, so a lone activity sees the full nominal link rate.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum DegradationFn {
     /// Ideal fair sharing: the aggregate stays at the nominal bandwidth, so
     /// `n` activities each get `bandwidth / n` (dslab's default model).
@@ -73,7 +72,7 @@ impl DegradationFn {
 ///
 /// [`LinkModel::FifoFixed`] is the seed behaviour and the default — every
 /// committed baseline (`BENCH_baseline.json`) is pinned to it.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub enum LinkModel {
     /// The original model: fixed setup + per-byte cost, FIFO delivery, no
     /// interaction between concurrent transfers.
@@ -100,52 +99,6 @@ impl LinkModel {
         match self {
             LinkModel::FifoFixed => "fifo_fixed",
             LinkModel::FairShare(_) => "fair_share",
-        }
-    }
-}
-
-impl Serialize for LinkModel {
-    fn to_value(&self) -> Value {
-        match self {
-            LinkModel::FifoFixed => Value::String("fifo_fixed".to_owned()),
-            LinkModel::FairShare(DegradationFn::Fair) => Value::String("fair_share".to_owned()),
-            LinkModel::FairShare(DegradationFn::LinearPenalty { penalty }) => {
-                let mut inner = serde::value::Map::new();
-                inner.insert("penalty".to_owned(), penalty.to_value());
-                let mut map = serde::value::Map::new();
-                map.insert("fair_share".to_owned(), Value::Object(inner));
-                Value::Object(map)
-            }
-        }
-    }
-}
-
-impl Deserialize for LinkModel {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        match value {
-            Value::String(tag) => match tag.as_str() {
-                "fifo_fixed" => Ok(LinkModel::FifoFixed),
-                "fair_share" => Ok(LinkModel::fair_share()),
-                other => Err(Error::custom(format!("unknown link model `{other}`"))),
-            },
-            Value::Object(map) => {
-                let inner = map
-                    .get("fair_share")
-                    .ok_or_else(|| Error::custom("expected a `fair_share` link-model object"))?;
-                match inner {
-                    Value::Object(fields) => {
-                        let penalty = match fields.get("penalty") {
-                            Some(v) => f64::from_value(v)?,
-                            None => return Ok(LinkModel::fair_share()),
-                        };
-                        Ok(LinkModel::FairShare(DegradationFn::LinearPenalty {
-                            penalty,
-                        }))
-                    }
-                    _ => Err(Error::custom("`fair_share` link model must be an object")),
-                }
-            }
-            _ => Err(Error::custom("link model must be a string or object")),
         }
     }
 }
@@ -602,6 +555,8 @@ mod tests {
 
     #[test]
     fn link_model_serde_round_trips() {
+        use serde::value::Value;
+        use serde::{Deserialize, Serialize};
         for model in [
             LinkModel::FifoFixed,
             LinkModel::fair_share(),
