@@ -40,6 +40,23 @@ impl Packet {
         packet
     }
 
+    /// Wraps frame bytes whose 5-tuple the caller already knows, skipping
+    /// the header parse [`Packet::from_bytes`] performs. The traffic source
+    /// uses this for frames it has just built from `tuple`; debug builds
+    /// check that `tuple` is what a parse of `bytes` would yield.
+    pub fn from_frame(id: u64, bytes: Vec<u8>, tuple: FiveTuple, ingress_time: SimTime) -> Self {
+        let packet = Packet {
+            id,
+            bytes,
+            tuple: Some(tuple),
+            ingress_time,
+            pcie_crossings: 0,
+            hops_processed: 0,
+        };
+        debug_assert_eq!(packet.parse_tuple().ok(), Some(tuple));
+        packet
+    }
+
     /// The on-wire size of the packet.
     pub fn size(&self) -> ByteSize {
         ByteSize::bytes(self.bytes.len() as u64)
@@ -232,6 +249,28 @@ mod tests {
             .build();
         let p = Packet::from_bytes(3, bytes, SimTime::ZERO);
         assert_eq!(p.transport_payload().len(), 100 - 14 - 20 - 20);
+    }
+
+    #[test]
+    fn from_frame_matches_from_bytes() {
+        let builder = PacketBuilder::new()
+            .ports(4000, 80)
+            .transport(TransportKind::Tcp)
+            .total_len(300);
+        let known = Packet::from_frame(9, builder.build(), builder.tuple(), SimTime::ZERO);
+        let parsed = Packet::from_bytes(9, builder.build(), SimTime::ZERO);
+        assert_eq!(known.five_tuple(), parsed.five_tuple());
+        assert_eq!(known.flow_id(), parsed.flow_id());
+        assert_eq!(known.bytes(), parsed.bytes());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic]
+    fn from_frame_rejects_a_tuple_the_frame_does_not_carry() {
+        let builder = PacketBuilder::new().ports(4000, 80);
+        let wrong = PacketBuilder::new().ports(4001, 80).tuple();
+        let _ = Packet::from_frame(1, builder.build(), wrong, SimTime::ZERO);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! allowed — delivered packets free their frame bytes at egress — but any
 //! `malloc`/`realloc` on the service path is a regression.
 //!
-//! The chain deliberately excludes the [`pam_nf::Logger`]: its log entries
-//! own freshly formatted summary strings, which is *modeled vNF work* (the
-//! state that migrates), not simulator overhead. Every other Figure-1 vNF is
-//! allocation-free per packet in steady state.
+//! The measured chain is the full Figure-1 chain, the [`pam_nf::Logger`]
+//! included: its ring stores compact records and formats summary strings
+//! only when the state is exported, so logging a sampled packet does not
+//! allocate either.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +22,7 @@ use pam_traffic::{
     ArrivalProcess, FlowGeneratorConfig, PacketSizeProfile, TraceConfig, TraceSynthesizer,
     TrafficSchedule,
 };
-use pam_types::{ByteSize, Endpoint, Gbps, SimDuration, SimTime};
+use pam_types::{ByteSize, Gbps, SimDuration, SimTime};
 
 /// Counts every allocation and reallocation (frees are not counted: egress
 /// legitimately drops packet buffers).
@@ -55,17 +55,14 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn steady_state_batch_service_performs_zero_heap_allocations() {
-    // Firewall -> Monitor -> LoadBalancer on the SmartNIC: three of the
-    // Figure-1 vNFs, including the two whose per-flow tables dominate the
-    // hot path. A small flow population guarantees the warm-up phase visits
-    // every flow, so the measured phase performs only re-lookups.
-    let spec = ServiceChainSpec::new(
-        "zero-alloc",
-        Endpoint::Host,
-        Endpoint::Wire,
-        vec![NfKind::Firewall, NfKind::Monitor, NfKind::LoadBalancer],
-    );
-    let placement = Placement::all_on(pam_types::Device::SmartNic, 3);
+    // Firewall -> Monitor -> Logger -> LoadBalancer on the SmartNIC: the
+    // whole Figure-1 chain, including the two vNFs whose per-flow tables
+    // dominate the hot path. A small flow population guarantees the warm-up
+    // phase visits every flow, so the measured phase performs only
+    // re-lookups.
+    let spec = ServiceChainSpec::figure1();
+    assert_eq!(spec.kinds()[2], NfKind::Logger);
+    let placement = Placement::all_on(pam_types::Device::SmartNic, spec.len());
     let mut config = RuntimeConfig::evaluation_default().with_max_batch(8);
     // Keep the periodic metrics publication (it clones device labels into
     // the registry) out of the measured window.

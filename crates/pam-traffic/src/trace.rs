@@ -102,13 +102,12 @@ impl TraceSynthesizer {
             pam_wire::IpProtocol::Tcp => TransportKind::Tcp,
             _ => TransportKind::Udp,
         };
-        let bytes = PacketBuilder::new()
+        let builder = PacketBuilder::new()
             .five_tuple(tuple)
             .transport(transport)
-            .size(size)
-            .build();
+            .size(size);
         let send_time = self.next_time;
-        let packet = Packet::from_bytes(self.next_id, bytes, send_time);
+        let packet = Packet::from_frame(self.next_id, builder.build(), builder.tuple(), send_time);
         self.next_id += 1;
         self.emitted_bytes += packet.size().as_bytes();
 

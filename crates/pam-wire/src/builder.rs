@@ -5,11 +5,16 @@
 //! Ethernet, IPv4 and transport headers, pads the payload to reach the
 //! requested total frame length and fills in every checksum, so the resulting
 //! bytes parse cleanly through all the view types in this crate.
+//!
+//! The payload is a run of one repeated byte, so its share of the transport
+//! checksum is computed in closed form: building a frame costs O(header)
+//! arithmetic on top of allocating it.
 
 use std::net::Ipv4Addr;
 
 use pam_types::ByteSize;
 
+use crate::checksum::pseudo_header_checksum_filled;
 use crate::ethernet::{EtherType, EthernetFrame, EthernetRepr, MacAddress, ETHERNET_HEADER_LEN};
 use crate::five_tuple::{FiveTuple, IpProtocol};
 use crate::ipv4::{Ipv4Packet, Ipv4Repr, IPV4_HEADER_LEN};
@@ -63,6 +68,12 @@ pub struct PacketBuilder {
 
 /// The minimum frame the builder can produce: Ethernet + IPv4 + UDP headers.
 pub const MIN_FRAME_LEN: usize = ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + UDP_HEADER_LEN;
+
+/// The maximum frame the builder can produce: the Ethernet header plus the
+/// largest IPv4 packet, whose 16-bit total-length field caps it at 65 535
+/// bytes. Longer requests are lowered to this, so the IPv4 and UDP length
+/// fields never wrap.
+pub const MAX_FRAME_LEN: usize = ETHERNET_HEADER_LEN + u16::MAX as usize;
 
 impl Default for PacketBuilder {
     fn default() -> Self {
@@ -131,7 +142,8 @@ impl PacketBuilder {
     }
 
     /// Sets the total on-wire frame length in bytes. Values below the header
-    /// stack are raised to the minimum; the payload is padded to reach it.
+    /// stack are raised to the minimum and values above [`MAX_FRAME_LEN`]
+    /// are lowered to it; the payload is padded to reach the result.
     pub fn total_len(mut self, len: usize) -> Self {
         self.total_len = len;
         self
@@ -180,9 +192,11 @@ impl PacketBuilder {
     /// Assembles the frame and returns the raw bytes.
     pub fn build(&self) -> Vec<u8> {
         let min_len = self.header_overhead();
-        let total_len = self.total_len.max(min_len);
+        let total_len = self.total_len.clamp(min_len, MAX_FRAME_LEN);
         let payload_len = total_len - min_len;
-        let mut buf = vec![0u8; total_len];
+        // The payload is already in place; only the headers start zeroed.
+        let mut buf = vec![self.payload_byte; total_len];
+        buf[..min_len].fill(0);
 
         // Ethernet header.
         let eth_repr = EthernetRepr {
@@ -208,10 +222,8 @@ impl PacketBuilder {
             ip_repr.emit(&mut ip);
         }
 
-        // Transport header + payload + checksums.
-        let src_octets = self.src_ip.octets();
-        let dst_octets = self.dst_ip.octets();
-        let transport_buf = &mut buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..];
+        // Transport header, then its checksum over the zeroed checksum field.
+        let transport_buf = &mut buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..min_len];
         match self.transport {
             TransportKind::Tcp => {
                 let repr = TcpRepr {
@@ -222,14 +234,10 @@ impl PacketBuilder {
                     flags: self.tcp_flags,
                     window: 65_535,
                 };
-                let mut seg = TcpSegment::new_unchecked(transport_buf);
+                let mut seg = TcpSegment::new_unchecked(&mut *transport_buf);
                 repr.emit(&mut seg);
-                for b in seg.into_inner()[TCP_HEADER_LEN..].iter_mut() {
-                    *b = self.payload_byte;
-                }
-                let mut seg =
-                    TcpSegment::new_unchecked(&mut buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..]);
-                seg.fill_checksum(src_octets, dst_octets);
+                let csum = self.transport_checksum(transport_buf, payload_len);
+                TcpSegment::new_unchecked(transport_buf).set_checksum(csum);
             }
             TransportKind::Udp => {
                 let repr = UdpRepr {
@@ -237,14 +245,29 @@ impl PacketBuilder {
                     dst_port: self.dst_port,
                     payload_len,
                 };
-                let mut dgram = UdpDatagram::new_unchecked(transport_buf);
+                let mut dgram = UdpDatagram::new_unchecked(&mut *transport_buf);
                 repr.emit(&mut dgram);
-                dgram.payload_mut().fill(self.payload_byte);
-                dgram.fill_checksum(src_octets, dst_octets);
+                // RFC 768: a computed zero is sent as all ones.
+                let csum = match self.transport_checksum(transport_buf, payload_len) {
+                    0 => 0xffff,
+                    csum => csum,
+                };
+                UdpDatagram::new_unchecked(transport_buf).set_checksum(csum);
             }
         }
 
         buf
+    }
+
+    fn transport_checksum(&self, header: &[u8], payload_len: usize) -> u16 {
+        pseudo_header_checksum_filled(
+            self.src_ip.octets(),
+            self.dst_ip.octets(),
+            self.transport.protocol(),
+            header,
+            payload_len,
+            self.payload_byte,
+        )
     }
 
     /// The 5-tuple the built packet will carry.
@@ -358,6 +381,137 @@ mod tests {
         let (_, ip, _) = parse_all(&bytes);
         assert_eq!(ip.dscp, 46);
         assert_eq!(ip.ttl, 8);
+    }
+
+    /// The byte-by-byte way to build a frame: zero-fill it, emit the headers,
+    /// fill the payload, then checksum the whole segment through the view
+    /// types' `fill_checksum`.
+    fn reference_build(b: &PacketBuilder) -> Vec<u8> {
+        let min_len = b.header_overhead();
+        let total_len = b.total_len.clamp(min_len, MAX_FRAME_LEN);
+        let payload_len = total_len - min_len;
+        let mut buf = vec![0u8; total_len];
+        EthernetRepr {
+            src: b.src_mac,
+            dst: b.dst_mac,
+            ethertype: EtherType::Ipv4,
+        }
+        .emit(&mut EthernetFrame::new_unchecked(&mut buf[..]));
+        Ipv4Repr {
+            src: b.src_ip,
+            dst: b.dst_ip,
+            protocol: b.transport.protocol(),
+            payload_len: b.transport.header_len() + payload_len,
+            ttl: b.ttl,
+            dscp: b.dscp,
+        }
+        .emit(&mut Ipv4Packet::new_unchecked(
+            &mut buf[ETHERNET_HEADER_LEN..],
+        ));
+        let (src, dst) = (b.src_ip.octets(), b.dst_ip.octets());
+        let transport = &mut buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..];
+        match b.transport {
+            TransportKind::Tcp => {
+                let mut seg = TcpSegment::new_unchecked(transport);
+                TcpRepr {
+                    src_port: b.src_port,
+                    dst_port: b.dst_port,
+                    seq: b.seq,
+                    ack: 0,
+                    flags: b.tcp_flags,
+                    window: 65_535,
+                }
+                .emit(&mut seg);
+                seg.into_inner()[TCP_HEADER_LEN..].fill(b.payload_byte);
+                TcpSegment::new_unchecked(&mut buf[ETHERNET_HEADER_LEN + IPV4_HEADER_LEN..])
+                    .fill_checksum(src, dst);
+            }
+            TransportKind::Udp => {
+                let mut dgram = UdpDatagram::new_unchecked(transport);
+                UdpRepr {
+                    src_port: b.src_port,
+                    dst_port: b.dst_port,
+                    payload_len,
+                }
+                .emit(&mut dgram);
+                dgram.payload_mut().fill(b.payload_byte);
+                dgram.fill_checksum(src, dst);
+            }
+        }
+        buf
+    }
+
+    /// Asserts that every layer's length field agrees with the frame length
+    /// and every checksum verifies.
+    fn assert_consistent(bytes: &[u8]) {
+        let ip = Ipv4Packet::new_checked(&bytes[ETHERNET_HEADER_LEN..]).unwrap();
+        assert!(ip.verify_checksum());
+        assert_eq!(
+            usize::from(ip.total_len()),
+            bytes.len() - ETHERNET_HEADER_LEN
+        );
+        let (src, dst) = (ip.src_addr().octets(), ip.dst_addr().octets());
+        match ip.protocol() {
+            IpProtocol::Tcp => {
+                let tcp = TcpSegment::new_checked(ip.payload()).unwrap();
+                assert!(tcp.verify_checksum(src, dst));
+            }
+            _ => {
+                let udp = UdpDatagram::new_checked(ip.payload()).unwrap();
+                assert_eq!(usize::from(udp.length()), ip.payload().len());
+                assert_ne!(
+                    udp.checksum(),
+                    0,
+                    "the builder always fills the UDP checksum"
+                );
+                assert!(udp.verify_checksum(src, dst));
+            }
+        }
+    }
+
+    /// `build` must emit exactly the bytes of the byte-by-byte reference
+    /// for every length up to a jumbo-ish frame, the largest frame, both
+    /// transports and payload bytes that exercise the checksum's carries.
+    #[test]
+    fn build_matches_the_byte_by_byte_reference() {
+        let lengths = (0..=1600).chain([MAX_FRAME_LEN]);
+        for len in lengths {
+            for kind in [TransportKind::Tcp, TransportKind::Udp] {
+                for fill in [0x00, 0x01, 0x5a, 0xff] {
+                    let builder = PacketBuilder::new()
+                        .ips(Ipv4Addr::new(172, 16, 3, 9), Ipv4Addr::new(10, 200, 0, 77))
+                        .ports(40_123, 443)
+                        .transport(kind)
+                        .seq(0xdead_beef)
+                        .payload_byte(fill)
+                        .total_len(len);
+                    let bytes = builder.build();
+                    assert!(
+                        bytes == reference_build(&builder),
+                        "{kind:?} total_len {len} payload byte {fill:#04x}"
+                    );
+                    assert_consistent(&bytes);
+                }
+            }
+        }
+    }
+
+    /// Requests beyond the IPv4 length field are clamped rather than
+    /// wrapping the IPv4 and UDP length fields.
+    #[test]
+    fn oversized_requests_are_clamped_to_the_largest_frame() {
+        for kind in [TransportKind::Tcp, TransportKind::Udp] {
+            for len in [MAX_FRAME_LEN, MAX_FRAME_LEN + 1, 70_000, 1 << 20] {
+                let bytes = PacketBuilder::new().transport(kind).total_len(len).build();
+                assert_eq!(bytes.len(), MAX_FRAME_LEN, "{kind:?} {len}");
+                let (_, ip, _) = parse_all(&bytes);
+                assert_eq!(
+                    ip.payload_len,
+                    MAX_FRAME_LEN - ETHERNET_HEADER_LEN - IPV4_HEADER_LEN
+                );
+                assert_consistent(&bytes);
+            }
+        }
     }
 
     proptest! {

@@ -2,20 +2,24 @@
 
 use crate::five_tuple::IpProtocol;
 
-/// Computes the one's-complement sum of `data`, folding carries, without
+/// Computes the one's-complement sum of `data`, without folding carries or
 /// taking the final complement. Useful for combining partial sums.
-fn ones_complement_sum(mut acc: u32, data: &[u8]) -> u32 {
+///
+/// The accumulator is a `u64`: a `u32` overflows after about 65 537
+/// all-ones words (~131 KB), while a `u64` holds the unfolded sum of any
+/// buffer that fits in memory.
+fn ones_complement_sum(mut acc: u64, data: &[u8]) -> u64 {
     let mut chunks = data.chunks_exact(2);
     for chunk in &mut chunks {
-        acc += u32::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        acc += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
     }
     if let [last] = chunks.remainder() {
-        acc += u32::from(u16::from_be_bytes([*last, 0]));
+        acc += u64::from(u16::from_be_bytes([*last, 0]));
     }
     acc
 }
 
-fn fold(mut acc: u32) -> u16 {
+fn fold(mut acc: u64) -> u16 {
     while acc > 0xffff {
         acc = (acc & 0xffff) + (acc >> 16);
     }
@@ -30,6 +34,14 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !fold(ones_complement_sum(0, data))
 }
 
+/// The unfolded sum of the IPv4 pseudo-header for a transport segment of
+/// `segment_len` bytes.
+fn pseudo_header_sum(src: [u8; 4], dst: [u8; 4], protocol: IpProtocol, segment_len: usize) -> u64 {
+    let acc = ones_complement_sum(0, &src);
+    let acc = ones_complement_sum(acc, &dst);
+    acc + u64::from(protocol.number()) + segment_len as u64
+}
+
 /// Computes the TCP/UDP checksum over the IPv4 pseudo-header plus the
 /// transport header and payload in `segment`.
 pub fn pseudo_header_checksum(
@@ -38,12 +50,36 @@ pub fn pseudo_header_checksum(
     protocol: IpProtocol,
     segment: &[u8],
 ) -> u16 {
-    let mut acc = 0u32;
-    acc = ones_complement_sum(acc, &src);
-    acc = ones_complement_sum(acc, &dst);
-    acc += u32::from(protocol.number());
-    acc += segment.len() as u32;
-    acc = ones_complement_sum(acc, segment);
+    let acc = pseudo_header_sum(src, dst, protocol, segment.len());
+    !fold(ones_complement_sum(acc, segment))
+}
+
+/// Computes the TCP/UDP checksum of a segment made of `header` followed by
+/// `payload_len` copies of `fill`, without touching the payload: every
+/// whole payload word is `fill * 257`, so the payload sums in closed form
+/// and the cost is O(header) rather than O(segment).
+///
+/// Equal to [`pseudo_header_checksum`] over the materialised segment.
+/// `header` must have an even length so the payload starts on a word
+/// boundary (TCP and UDP headers always do).
+pub fn pseudo_header_checksum_filled(
+    src: [u8; 4],
+    dst: [u8; 4],
+    protocol: IpProtocol,
+    header: &[u8],
+    payload_len: usize,
+    fill: u8,
+) -> u16 {
+    debug_assert!(
+        header.len() % 2 == 0,
+        "payload must start on a word boundary"
+    );
+    let mut acc = pseudo_header_sum(src, dst, protocol, header.len() + payload_len);
+    acc = ones_complement_sum(acc, header);
+    acc += (payload_len / 2) as u64 * (u64::from(fill) * 257);
+    if payload_len % 2 == 1 {
+        acc += u64::from(fill) << 8;
+    }
     !fold(acc)
 }
 
@@ -102,6 +138,30 @@ mod tests {
         assert_ne!(a, b);
         let c = pseudo_header_checksum([10, 0, 0, 1], [10, 0, 0, 2], IpProtocol::Tcp, &seg);
         assert_ne!(a, c);
+    }
+
+    /// Beyond ~131 KB of all-ones words a `u32` accumulator overflows (a
+    /// debug panic, a wrong checksum in release). The reference folds after
+    /// every word, so it never holds more than 17 bits.
+    #[test]
+    fn buffers_beyond_131_kb_do_not_overflow() {
+        let all_ones = vec![0xffu8; 200_000];
+        let odd_pattern: Vec<u8> = (0..300_001u32).map(|i| (i * 7 + 3) as u8).collect();
+        for data in [all_ones, odd_pattern] {
+            let mut acc = 0u32;
+            for word in data.chunks(2) {
+                acc += u32::from(u16::from_be_bytes([word[0], *word.get(1).unwrap_or(&0)]));
+                acc = (acc & 0xffff) + (acc >> 16);
+            }
+            let csum = internet_checksum(&data);
+            assert_eq!(csum, !(acc as u16), "{} bytes", data.len());
+            let mut buf = data;
+            if buf.len() % 2 == 1 {
+                buf.push(0);
+            }
+            buf.extend_from_slice(&csum.to_be_bytes());
+            assert!(verify_checksum(&buf));
+        }
     }
 
     #[test]
